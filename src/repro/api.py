@@ -319,9 +319,7 @@ class Connection:
         subqueries and correlation in the predicate work unchanged."""
         from repro.sql import ast as sql_ast
         from repro.qgm import build_query_graph
-        from repro.qgm.model import QuantifierType
         from repro.engine import Evaluator
-        from repro.engine.expressions import evaluate, predicate_holds
 
         if where is None:
             return [True] * len(self.database.table(table_name).rows)
@@ -336,53 +334,33 @@ class Connection:
         box = graph.top_box
         quantifier = box.foreach_quantifiers()[0]
         evaluator = Evaluator(graph, self.database)
-        mask = []
-        for row in self.database.table(table_name).rows:
-            env = {quantifier: row}
-            mask.append(self._row_matches(evaluator, box, quantifier, env))
-        return mask
+        pipeline = evaluator.pipeline(box)
+        return [
+            self._row_matches(evaluator, pipeline, {quantifier: row})
+            for row in self.database.table(table_name).rows
+        ]
 
     @staticmethod
-    def _row_matches(evaluator, box, quantifier, env):
-        from repro.qgm.model import QuantifierType
+    def _row_matches(evaluator, pipeline, env):
+        """One select-box pipeline run for a single candidate row."""
         from repro.engine.expressions import predicate_holds
 
-        # Bind scalar subqueries, then test predicates and E/A quantifiers,
-        # mirroring one select-box iteration for a single candidate row.
-        for sub in box.quantifiers:
-            if sub.qtype == QuantifierType.SCALAR:
-                env = dict(env)
-                env[sub] = evaluator._scalar_row(
-                    sub, env, sub.selector_predicates
-                )
-        from repro.qgm import expr as qe
-
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-        for predicate in box.predicates:
-            involved = {
-                r.quantifier
-                for r in qe.column_refs(predicate)
-                if r.quantifier in set(filter_quantifiers)
-            }
-            if involved:
-                continue
-            if not predicate_holds(predicate, env):
-                return False
-        for sub in filter_quantifiers:
-            attached = [
-                p
-                for p in box.predicates
-                if any(
-                    r.quantifier is sub for r in qe.column_refs(p)
-                )
-            ]
-            if not evaluator._passes_filter_quantifier(sub, attached, env):
-                return False
-        return True
+        predicates = list(pipeline.leading)
+        for step in pipeline.steps:
+            predicates.extend(step.predicates)
+        if not all(predicate_holds(p, env) for p in predicates):
+            return False
+        for step in pipeline.scalars:
+            env = dict(env)
+            env[step.quantifier] = evaluator._scalar_row(step, env)
+        if not all(predicate_holds(p, env) for p in pipeline.deferred):
+            return False
+        return all(
+            evaluator._passes_filter_quantifier(
+                step.quantifier, step.predicates, env
+            )
+            for step in pipeline.filters
+        )
 
     def _delete(self, statement):
         table = self.database.table(statement.table)

@@ -16,7 +16,8 @@ tuple-at-a-time :class:`Evaluator` and the columnar
 :class:`BatchEvaluator` (:mod:`repro.engine.columnar`), which evaluates
 boxes over column batches with vectorized predicates and batch
 hash joins. The tuple engine doubles as the differential-testing oracle
-for the batch engine.
+for the batch engine. Both run each select box as the pipeline
+:mod:`repro.engine.pipeline` lowers it to, which EXPLAIN also prints.
 """
 
 from repro.engine.storage import Database, Table

@@ -9,8 +9,10 @@ implementations:
   (:func:`~repro.engine.columnar.vector.compile_vector`), one closure
   call per *column* instead of one per row;
 * foreach quantifiers are attached by batch hash-join build/probe (or a
-  batched cross product) instead of the per-environment
-  ``_attach_quantifier`` loop — no environment-dict copy per probe;
+  batched cross product) instead of the per-environment ``_attach``
+  loop — no environment-dict copy per probe — following the same
+  lowered :class:`~repro.engine.pipeline.SelectPipeline` as the tuple
+  engine;
 * group-by extracts key/argument columns once and feeds accumulator
   slices through ``add_many``.
 
@@ -30,13 +32,10 @@ charging batched work against the shared probe budget.
 from __future__ import annotations
 
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, QuantifierType
+from repro.qgm.model import BoxKind
 from repro.engine.aggregates import accumulator_factory, make_accumulator
-from repro.engine.evaluator import (
-    CHECKPOINT_INTERVAL,
-    Evaluator,
-    _hashable_equality,
-)
+from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
+from repro.engine.pipeline import HASH, PER_BINDING
 from repro.engine.expressions import evaluate
 from repro.engine.columnar.columns import Batch
 from repro.engine.columnar.vector import compile_vector
@@ -94,79 +93,34 @@ class BatchEvaluator(Evaluator):
     # -- select boxes ------------------------------------------------------------
 
     def _evaluate_select(self, box, env):
-        local = set(box.quantifiers)
-        predicates = list(box.predicates)
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-        ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-
-        def quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        deferred = set()
-        join_predicates = []
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-        for predicate in predicates:
-            if quantifiers_of(predicate) & non_foreach:
-                deferred.add(id(predicate))
-            else:
-                join_predicates.append(predicate)
-
+        pipeline = self.pipeline(box)
         # One position, no slots: the batch analogue of ``[dict(env)]``.
         batch = Batch(1, constants=dict(env))
-        bound = set()
-        applied = set()
-        for quantifier in self._join_order(box):
-            batch = self._attach_batch(
-                box, quantifier, batch, bound, join_predicates, applied
-            )
-            bound.add(quantifier)
+        for predicate in pipeline.leading:
+            batch = self._filter_batch(batch, predicate)
+        for step in pipeline.steps:
             if batch.length == 0:
                 break
-
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                batch = self._filter_batch(batch, predicate)
-                applied.add(id(predicate))
+            batch = self._attach_batch(box, step, batch)
 
         # Scalar subqueries stay row-at-a-time (one-row semantics and
         # NULL-on-no-match need per-binding checks); the result rows
         # become a new slot so deferred predicates vectorize over them.
-        for quantifier in scalar_quantifiers:
-            selectors = quantifier.selector_predicates
-            rows = [
-                self._scalar_row(quantifier, current, selectors)
-                for current in batch.row_envs()
-            ]
-            batch.add_slot(quantifier, rows)
-
-        for predicate in predicates:
-            if id(predicate) in deferred and not (
-                quantifiers_of(predicate) & set(filter_quantifiers)
-            ):
-                batch = self._filter_batch(batch, predicate)
+        for step in pipeline.scalars:
+            rows = [self._scalar_row(step, current) for current in batch.row_envs()]
+            batch.add_slot(step.quantifier, rows)
+        for predicate in pipeline.deferred:
+            batch = self._filter_batch(batch, predicate)
 
         # Existential / anti filters: inherently per-binding subqueries.
-        for quantifier in filter_quantifiers:
-            attached = [
-                p
-                for p in predicates
-                if id(p) in deferred and quantifier in quantifiers_of(p)
-            ]
+        for step in pipeline.filters:
             envs = batch.row_envs()
             positions = [
                 i
                 for i, current in enumerate(envs)
-                if self._passes_filter_quantifier(quantifier, attached, current)
+                if self._passes_filter_quantifier(
+                    step.quantifier, step.predicates, current
+                )
             ]
             if len(positions) != batch.length:
                 batch = batch.take(positions)
@@ -180,45 +134,16 @@ class BatchEvaluator(Evaluator):
             return [()] * batch.length
         return list(zip(*columns))
 
-    def _attach_batch(self, box, quantifier, batch, bound, join_predicates, applied):
-        """Join one foreach quantifier into the batch (hash or cross)."""
+    def _attach_batch(self, box, step, batch):
+        """Join one foreach quantifier into the batch: hash probe, per-row
+        evaluation of a correlated child, or cross product."""
+        quantifier = step.quantifier
         child = quantifier.input_box
-        local = set(box.quantifiers)
-
-        def refs_ok(expression, extra):
-            for ref in qe.column_refs(expression):
-                owner = ref.quantifier
-                if owner in local and owner not in extra and owner not in bound:
-                    return False
-            return True
-
-        applicable = [
-            p
-            for p in join_predicates
-            if id(p) not in applied and refs_ok(p, {quantifier})
-        ]
-
-        hash_keys = []
-        residual = []
-        for predicate in applicable:
-            pair = _hashable_equality(predicate, quantifier, local, bound)
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
-
-        child_correlated = bool(self._externals(child))
-        use_index = hash_keys and not child_correlated
-
-        if use_index:
-            index = self._hash_index(
-                child, quantifier, tuple(k[0] for k in hash_keys)
-            )
-            probe_columns = [self._vfn(k[1])(batch) for k in hash_keys]
+        if step.access == HASH:
+            index = self._hash_index(child, quantifier, [k for k, _ in step.keys])
+            probe_columns = [self._vfn(probe)(batch) for _, probe in step.keys]
             result = self._probe(box, batch, quantifier, index, probe_columns)
-            for predicate in residual:
-                result = self._filter_batch(result, predicate)
-        elif child_correlated:
+        elif step.access == PER_BINDING:
             positions = []
             new_rows = []
             governed = self.governor is not None
@@ -230,8 +155,6 @@ class BatchEvaluator(Evaluator):
                 new_rows.extend(child_rows)
             self.stats.join_probes += len(new_rows)
             result = batch.expand(positions, quantifier, new_rows)
-            for predicate in applicable:
-                result = self._filter_batch(result, predicate)
         else:
             child_rows = self.rows_for(child, {})
             n = len(child_rows)
@@ -250,11 +173,8 @@ class BatchEvaluator(Evaluator):
                     i for i in range(batch.length) for _ in range(n)
                 ]
                 result = batch.expand(positions, quantifier, child_rows * batch.length)
-            for predicate in applicable:
-                result = self._filter_batch(result, predicate)
-
-        for predicate in applicable:
-            applied.add(id(predicate))
+        for predicate in step.residual:
+            result = self._filter_batch(result, predicate)
         self.stats.batches += 1
         self.stats.batch_rows += result.length
         return result

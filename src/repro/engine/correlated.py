@@ -21,9 +21,16 @@ previous evaluation (not something the 1990s systems did).
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ExecutionError, NotSupportedError
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
+from repro.qgm.model import (
+    BoxKind,
+    DistinctMode,
+    QuantifierType,
+    external_quantifiers,
+)
 from repro.qgm.stratum import is_recursive
 from repro.engine.evaluator import (
     CHECKPOINT_INTERVAL,
@@ -32,6 +39,7 @@ from repro.engine.evaluator import (
     _apply_order_limit,
     _dedupe,
 )
+from repro.engine.pipeline import join_order, lower_select
 from repro.engine.expressions import (
     compile_expr,
     compile_predicate,
@@ -61,7 +69,8 @@ class CorrelatedEvaluator:
         self.stats = EvaluatorStats()
         self._probe_budget = CHECKPOINT_INTERVAL
         self._memo = {}
-        self._externals_cache = {}
+        self._externals = functools.lru_cache(maxsize=None)(external_quantifiers)
+        self._pipelines = {}
         self._compiled = {}
         self._compiled_predicates = {}
 
@@ -112,7 +121,7 @@ class CorrelatedEvaluator:
                 )
             else:
                 self.governor.check_deadline("evaluation of box %r" % box.name)
-        memoizable = self.memoize and not self._is_correlated(box)
+        memoizable = self.memoize and not self._externals(box)
         if memoizable:
             key = (id(box), tuple(sorted(filters.items())))
             cached = self._memo.get(key)
@@ -149,38 +158,6 @@ class CorrelatedEvaluator:
             self._memo[key] = rows
         return rows
 
-    def _is_correlated(self, box):
-        """True when ``box``'s subtree references quantifiers outside it
-        (such a box's rows depend on more than the pushed filters)."""
-        cached = self._externals_cache.get(id(box))
-        if cached is not None:
-            return cached
-        subtree = set()
-        stack = [box]
-        members = []
-        while stack:
-            current = stack.pop()
-            if id(current) in subtree:
-                continue
-            subtree.add(id(current))
-            members.append(current)
-            for quantifier in current.quantifiers:
-                stack.append(quantifier.input_box)
-        correlated = False
-        for member in members:
-            for expression in member.all_expressions():
-                for ref in qe.column_refs(expression):
-                    owner = ref.quantifier.parent_box
-                    if owner is not None and id(owner) not in subtree:
-                        correlated = True
-                        break
-                if correlated:
-                    break
-            if correlated:
-                break
-        self._externals_cache[id(box)] = correlated
-        return correlated
-
     # -- base tables -------------------------------------------------------------
 
     def _eval_base(self, box, filters):
@@ -203,27 +180,30 @@ class CorrelatedEvaluator:
 
     # -- select boxes ---------------------------------------------------------------
 
-    def _join_order(self, box):
-        """Join order with every derived-table reference moved last.
+    def _pipeline(self, box, pushed):
+        """``box`` lowered in correlated step order.
 
-        This is what *correlation* means: a view reference becomes a
-        correlated subquery, evaluated once per row of the (base-table)
-        outer — the strategy cannot choose to materialise the view first.
-        Base-table quantifiers keep the plan optimizer's relative order.
+        Derived-table references run last: this is what *correlation*
+        means — a view reference becomes a correlated subquery, evaluated
+        once per row of the (base-table) outer, so the strategy cannot
+        choose to materialise the view first. Ahead of everything come
+        the quantifiers the binding restricts (``pushed``), the index
+        access path the correlated plan is built around. Otherwise the
+        plan optimizer's relative order is kept.
         """
-        ordered_names = self.join_orders.get(box.box_id)
-        foreach = box.foreach_quantifiers()
-        if ordered_names:
-            by_name = {q.name: q for q in foreach}
-            ordered = [by_name[name] for name in ordered_names if name in by_name]
-            ordered += [q for q in foreach if q.name not in set(ordered_names)]
-        else:
-            ordered = foreach
-        from repro.qgm.model import BoxKind
-
-        base = [q for q in ordered if q.input_box.kind == BoxKind.BASE]
-        derived = [q for q in ordered if q.input_box.kind != BoxKind.BASE]
-        return base + derived
+        order = join_order(box, self.join_orders.get(box.box_id))
+        order = [q for q in order if q.input_box.kind == BoxKind.BASE] + [
+            q for q in order if q.input_box.kind != BoxKind.BASE
+        ]
+        order = [q for q in order if q in pushed] + [
+            q for q in order if q not in pushed
+        ]
+        key = (id(box), tuple(q.name for q in order))
+        pipeline = self._pipelines.get(key)
+        if pipeline is None:
+            pipeline = lower_select(box, key[1], self._externals)
+            self._pipelines[key] = pipeline
+        return pipeline
 
     def _eval_select(self, box, env, filters):
         local = set(box.quantifiers)
@@ -238,55 +218,20 @@ class CorrelatedEvaluator:
                 pushed.setdefault(expr.quantifier, {})[expr.column.lower()] = value
             else:
                 residual_filters[name] = value
-
-        def order_with_filters_first(quantifiers):
-            # Tuple-at-a-time execution starts from the quantifiers the
-            # binding restricts (the index access path the correlated plan
-            # is built around), keeping the optimizer's relative order
-            # otherwise.
-            filtered = [q for q in quantifiers if q in pushed]
-            rest = [q for q in quantifiers if q not in pushed]
-            return filtered + rest
-
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-        ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-
-        def local_quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        join_predicates = [
-            p for p in box.predicates if not (local_quantifiers_of(p) & non_foreach)
-        ]
-        deferred = [
-            p for p in box.predicates if local_quantifiers_of(p) & non_foreach
-        ]
+        pipeline = self._pipeline(box, pushed)
 
         envs = [dict(env)]
+        for predicate in pipeline.leading:
+            envs = [e for e in envs if predicate_holds(predicate, e)]
         bound = set()
-        applied = set()
-        for quantifier in order_with_filters_first(self._join_order(box)):
-            applicable = []
-            for predicate in join_predicates:
-                if id(predicate) in applied:
-                    continue
-                locals_needed = local_quantifiers_of(predicate)
-                if locals_needed <= (bound | {quantifier}):
-                    applicable.append(predicate)
+        for step in pipeline.steps:
+            if not envs:
+                break
+            quantifier = step.quantifier
             # Equality predicates give per-tuple parameter bindings.
             bindable = []
             post = []
-            for predicate in applicable:
+            for predicate in step.predicates:
                 binding = _binding_equality(predicate, quantifier, local, bound)
                 if binding is not None:
                     bindable.append(binding)
@@ -321,17 +266,10 @@ class CorrelatedEvaluator:
                     if all(fn(extended) for fn in post_fns):
                         new_envs.append(extended)
             envs = new_envs
-            for predicate in applicable:
-                applied.add(id(predicate))
             bound.add(quantifier)
-            if not envs:
-                break
 
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-
-        for quantifier in scalar_quantifiers:
+        for step in pipeline.scalars:
+            quantifier = step.quantifier
             new_envs = []
             for current in envs:
                 rows = self._eval_box(quantifier.input_box, current, {})
@@ -347,18 +285,16 @@ class CorrelatedEvaluator:
                 extended[quantifier] = row
                 new_envs.append(extended)
             envs = new_envs
-        for predicate in deferred:
-            if not (local_quantifiers_of(predicate) & set(filter_quantifiers)):
-                envs = [e for e in envs if predicate_holds(predicate, e)]
+        for predicate in pipeline.deferred:
+            envs = [e for e in envs if predicate_holds(predicate, e)]
 
-        for quantifier in filter_quantifiers:
-            attached = [
-                p for p in deferred if quantifier in local_quantifiers_of(p)
-            ]
+        for step in pipeline.filters:
             envs = [
                 current
                 for current in envs
-                if self._passes_filter_quantifier(quantifier, attached, current)
+                if self._passes_filter_quantifier(
+                    step.quantifier, step.predicates, current
+                )
             ]
 
         projection = [self._fn(column.expr) for column in box.columns]

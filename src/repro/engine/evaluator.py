@@ -6,20 +6,30 @@ of enclosing boxes — are evaluated per outer binding (with optional
 memoisation). Recursive strongly connected components run by fixpoint
 iteration (:mod:`repro.engine.recursion`).
 
-Join processing inside a select box is pipelined in the supplied join order
-(the plan optimizer's choice): each quantifier is attached by hash join
-when an applicable equality predicate exists, else by nested loop, and
-every predicate is applied at the earliest point where all of its inputs
-are bound — which is exactly why the join order matters to EMST.
+Each select box runs the pipeline :mod:`repro.engine.pipeline` lowers it
+to, in the supplied join order (the plan optimizer's choice): each
+quantifier is attached by hash join when an applicable equality predicate
+exists, by nested loop otherwise, or re-evaluated per binding when its
+input is correlated, and every predicate is applied at the earliest point
+where all of its inputs are bound — which is exactly why the join order
+matters to EMST.
 """
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError, QgmError
+import functools
+
+from repro.errors import ExecutionError
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
+from repro.qgm.model import (
+    BoxKind,
+    DistinctMode,
+    QuantifierType,
+    external_quantifiers,
+)
 from repro.qgm.stratum import reduced_dependency_graph
 from repro.engine.aggregates import make_accumulator
+from repro.engine.pipeline import HASH, hash_keys, lower_select
 from repro.engine.expressions import (
     compile_expr,
     compile_predicate,
@@ -115,8 +125,9 @@ class Evaluator:
         self._probe_budget = CHECKPOINT_INTERVAL
         self._materialized = {}
         self._correlated_memo = {}
-        self._external_cache = {}
-        self._subtree_cache = {}
+        # Correlation edges leaving each box's subtree (cached per box).
+        self._externals = functools.lru_cache(maxsize=None)(external_quantifiers)
+        self._pipelines = {}
         self._index_cache = {}
         self._compiled = {}
         self._compiled_predicates = {}
@@ -219,44 +230,6 @@ class Evaluator:
             rows = _dedupe(rows)
         return rows
 
-    # -- externals (correlation detection) -----------------------------------------
-
-    def _subtree(self, box):
-        cached = self._subtree_cache.get(id(box))
-        if cached is not None:
-            return cached
-        seen = {}
-        stack = [box]
-        while stack:
-            current = stack.pop()
-            if id(current) in seen:
-                continue
-            seen[id(current)] = current
-            for quantifier in current.quantifiers:
-                stack.append(quantifier.input_box)
-        self._subtree_cache[id(box)] = seen
-        return seen
-
-    def _externals(self, box):
-        """Quantifiers referenced inside ``box``'s subtree but owned outside
-        it (the correlation edges crossing the subtree boundary)."""
-        cached = self._external_cache.get(id(box))
-        if cached is not None:
-            return cached
-        subtree = self._subtree(box)
-        externals = []
-        seen = set()
-        for member in subtree.values():
-            for expression in member.all_expressions():
-                for ref in qe.column_refs(expression):
-                    owner = ref.quantifier.parent_box
-                    if owner is not None and id(owner) not in subtree:
-                        if id(ref.quantifier) not in seen:
-                            seen.add(id(ref.quantifier))
-                            externals.append(ref.quantifier)
-        self._external_cache[id(box)] = externals
-        return externals
-
     # -- box evaluation ---------------------------------------------------------------
 
     def evaluate_box(self, box, env):
@@ -282,93 +255,49 @@ class Evaluator:
 
     # -- select boxes ------------------------------------------------------------------
 
-    def _join_order(self, box):
-        ordered_names = self.join_orders.get(box.box_id)
-        foreach = box.foreach_quantifiers()
-        if not ordered_names:
-            return foreach
-        by_name = {q.name: q for q in foreach}
-        ordered = [by_name[name] for name in ordered_names if name in by_name]
-        remaining = [q for q in foreach if q.name not in set(ordered_names)]
-        return ordered + remaining
+    def pipeline(self, box):
+        """The lowered :class:`~repro.engine.pipeline.SelectPipeline` of
+        select ``box`` (lowered once per evaluator)."""
+        pipeline = self._pipelines.get(id(box))
+        if pipeline is None:
+            pipeline = lower_select(
+                box, self.join_orders.get(box.box_id), self._externals
+            )
+            self._pipelines[id(box)] = pipeline
+        return pipeline
 
     def _evaluate_select(self, box, env):
-        local = set(box.quantifiers)
-        predicates = list(box.predicates)
-        scalar_quantifiers = [
-            q for q in box.quantifiers if q.qtype == QuantifierType.SCALAR
-        ]
-        filter_quantifiers = [
-            q
-            for q in box.quantifiers
-            if q.qtype in (QuantifierType.EXISTENTIAL, QuantifierType.ANTI)
-        ]
-
-        def quantifiers_of(expression):
-            return {
-                ref.quantifier
-                for ref in qe.column_refs(expression)
-                if ref.quantifier in local
-            }
-
-        deferred = set()  # predicates involving E/A/S quantifiers
-        join_predicates = []
-        non_foreach = set(scalar_quantifiers) | set(filter_quantifiers)
-        for predicate in predicates:
-            if quantifiers_of(predicate) & non_foreach:
-                deferred.add(id(predicate))
-            else:
-                join_predicates.append(predicate)
-
+        pipeline = self.pipeline(box)
         envs = [dict(env)]
-        bound = set()
-        applied = set()
-        for quantifier in self._join_order(box):
-            envs = self._attach_quantifier(
-                box, quantifier, envs, bound, join_predicates, applied
-            )
-            bound.add(quantifier)
+        for predicate in pipeline.leading:
+            envs = [e for e in envs if predicate_holds(predicate, e)]
+        for step in pipeline.steps:
             if not envs:
                 break
-
-        # Any join predicate not yet applied (e.g. referencing no local
-        # quantifier at all — pure correlation filters) applies now.
-        for predicate in join_predicates:
-            if id(predicate) not in applied:
-                envs = [e for e in envs if predicate_holds(predicate, e)]
-                applied.add(id(predicate))
+            envs = self._attach(box, step, envs)
 
         # Bind scalar subqueries. A decorrelated subquery holds one row per
         # binding; its selector predicates (the correlation equalities EMST
         # lifted) pick the current outer row's match — no match binds NULLs
         # and the row survives, exactly the original correlated semantics.
-        for quantifier in scalar_quantifiers:
+        for step in pipeline.scalars:
             new_envs = []
             for current in envs:
-                row = self._scalar_row(
-                    quantifier, current, quantifier.selector_predicates
-                )
                 extended = dict(current)
-                extended[quantifier] = row
+                extended[step.quantifier] = self._scalar_row(step, current)
                 new_envs.append(extended)
             envs = new_envs
-        for predicate in predicates:
-            if id(predicate) in deferred and not (
-                quantifiers_of(predicate) & set(filter_quantifiers)
-            ):
-                envs = [e for e in envs if predicate_holds(predicate, e)]
+        for predicate in pipeline.deferred:
+            envs = [e for e in envs if predicate_holds(predicate, e)]
 
         # Existential / anti filters.
-        for quantifier in filter_quantifiers:
-            attached = [
-                p
-                for p in predicates
-                if id(p) in deferred and quantifier in quantifiers_of(p)
-            ]
+        for step in pipeline.filters:
             envs = [
                 current
                 for current in envs
-                if self._passes_filter_quantifier(quantifier, attached, current)
+                if self._passes_filter_quantifier(
+                    step.quantifier, step.predicates, current
+                )
             ]
 
         projection = [self._fn(column.expr) for column in box.columns]
@@ -377,44 +306,15 @@ class Evaluator:
             rows.append(tuple(fn(current) for fn in projection))
         return rows
 
-    def _attach_quantifier(self, box, quantifier, envs, bound, join_predicates, applied):
+    def _attach(self, box, step, envs):
         """Join one foreach quantifier into the current environments."""
+        quantifier = step.quantifier
         child = quantifier.input_box
-        local = set(box.quantifiers)
-
-        def refs_ok(expression, extra):
-            for ref in qe.column_refs(expression):
-                owner = ref.quantifier
-                if owner in local and owner not in extra and owner not in bound:
-                    return False
-            return True
-
-        # Applicable predicates once this quantifier is bound.
-        applicable = [
-            p
-            for p in join_predicates
-            if id(p) not in applied and refs_ok(p, {quantifier})
-        ]
-
-        # Split equality predicates usable for hashing: q-side references
-        # only this quantifier, other side only bound/external quantifiers.
-        hash_keys = []
-        residual = []
-        for predicate in applicable:
-            pair = _hashable_equality(predicate, quantifier, local, bound)
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
-
-        child_correlated = bool(self._externals(child))
-        use_index = hash_keys and not child_correlated
-
         new_envs = []
-        if use_index:
-            index = self._hash_index(child, quantifier, tuple(k[0] for k in hash_keys))
-            probes = [self._fn(k[1]) for k in hash_keys]
-            residual_fns = [self._pred(p) for p in residual]
+        if step.access == HASH:
+            index = self._hash_index(child, quantifier, [k for k, _ in step.keys])
+            probes = [self._fn(probe) for _, probe in step.keys]
+            residual_fns = [self._pred(p) for p in step.residual]
             for current in envs:
                 probe = tuple(fn(current) for fn in probes)
                 if any(v is None for v in probe):
@@ -427,7 +327,7 @@ class Evaluator:
                     if all(fn(extended) for fn in residual_fns):
                         new_envs.append(extended)
         else:
-            applicable_fns = [self._pred(p) for p in applicable]
+            applicable_fns = [self._pred(p) for p in step.predicates]
             for current in envs:
                 child_rows = self.rows_for(child, current)
                 for row in child_rows:
@@ -437,8 +337,6 @@ class Evaluator:
                     extended[quantifier] = row
                     if all(fn(extended) for fn in applicable_fns):
                         new_envs.append(extended)
-        for predicate in applicable:
-            applied.add(id(predicate))
         return new_envs
 
     def _hash_index(self, child, quantifier, key_exprs):
@@ -470,34 +368,26 @@ class Evaluator:
         self._index_cache[cache_key] = index
         return index
 
-    def _scalar_row(self, quantifier, env, selectors=()):
+    def _scalar_row(self, step, env):
+        """The row scalar ``step`` binds under ``env`` (NULLs on no match)."""
+        quantifier = step.quantifier
         child = quantifier.input_box
         null_row = tuple([None] * len(child.columns))
 
-        # Fast path for decorrelated subqueries: equality selectors over
-        # plain columns probe a hash index instead of scanning all bindings.
-        if quantifier.decorrelated and selectors and not self._externals(child):
-            keyed = []
-            for predicate in selectors:
-                pair = _hashable_equality(predicate, quantifier, {quantifier}, set())
-                if pair is None:
-                    keyed = None
-                    break
-                keyed.append(pair)
-            if keyed:
-                index = self._hash_index(
-                    child, quantifier, tuple(k[0] for k in keyed)
+        # A decorrelated subquery with hashable selectors probes an index
+        # instead of scanning all bindings.
+        if step.access == HASH:
+            index = self._hash_index(child, quantifier, [k for k, _ in step.keys])
+            probe = tuple(evaluate(probe, env) for _, probe in step.keys)
+            if any(v is None for v in probe):
+                return null_row
+            matches = index.get(probe, [])
+            if len(matches) > 1:
+                raise ExecutionError(
+                    "scalar subquery %r returned %d rows for one binding"
+                    % (quantifier.name, len(matches))
                 )
-                probe = tuple(evaluate(k[1], env) for k in keyed)
-                if any(v is None for v in probe):
-                    return null_row
-                matches = index.get(probe, [])
-                if len(matches) > 1:
-                    raise ExecutionError(
-                        "scalar subquery %r returned %d rows for one binding"
-                        % (quantifier.name, len(matches))
-                    )
-                return matches[0] if matches else null_row
+            return matches[0] if matches else null_row
 
         rows = self.rows_for(child, env)
         if not quantifier.decorrelated and len(rows) > 1:
@@ -508,7 +398,7 @@ class Evaluator:
         for row in rows:
             extended = dict(env)
             extended[quantifier] = row
-            if all(predicate_holds(p, extended) for p in selectors):
+            if all(predicate_holds(p, extended) for p in step.predicates):
                 matches.append(row)
                 if len(matches) > 1:
                     raise ExecutionError(
@@ -623,21 +513,14 @@ class Evaluator:
         null_row = tuple([None] * len(right_q.input_box.columns))
 
         # Hash the right side when an ON equality allows it.
-        hash_keys = []
-        residual = []
-        for predicate in box.predicates:
-            pair = _hashable_equality(
-                predicate, right_q, set(box.quantifiers), {left_q}
-            )
-            if pair is not None:
-                hash_keys.append(pair)
-            else:
-                residual.append(predicate)
-        use_index = bool(hash_keys)
+        keys, residual = hash_keys(
+            box.predicates, right_q, set(box.quantifiers), {left_q}
+        )
+        use_index = bool(keys)
         index = None
         if use_index:
             index = self._hash_index(
-                right_q.input_box, right_q, tuple(k[0] for k in hash_keys)
+                right_q.input_box, right_q, tuple(k[0] for k in keys)
             )
         else:
             right_rows = self.rows_for(right_q.input_box, env)
@@ -648,7 +531,7 @@ class Evaluator:
             base_env[left_q] = left_row
             matched = False
             if use_index:
-                probe = tuple(evaluate(k[1], base_env) for k in hash_keys)
+                probe = tuple(evaluate(k[1], base_env) for k in keys)
                 candidates = (
                     index.get(probe, ()) if all(v is not None for v in probe) else ()
                 )
@@ -707,32 +590,6 @@ class Evaluator:
                     else:
                         rows.append(row)
         return rows
-
-
-def _hashable_equality(predicate, quantifier, local, bound):
-    """If ``predicate`` is an equality usable to hash-join ``quantifier``,
-    return (key_expr_over_quantifier, probe_expr_over_bound); else None."""
-    if not (isinstance(predicate, qe.QBinary) and predicate.op == "="):
-        return None
-    for side, other in (
-        (predicate.left, predicate.right),
-        (predicate.right, predicate.left),
-    ):
-        side_local = {
-            r.quantifier for r in qe.column_refs(side) if r.quantifier in local
-        }
-        other_local = {
-            r.quantifier for r in qe.column_refs(other) if r.quantifier in local
-        }
-        if side_local == {quantifier} and quantifier not in other_local:
-            if other_local <= bound:
-                # The key side must reference nothing but the quantifier
-                # itself (no correlation mixed in) to be indexable.
-                if all(
-                    r.quantifier is quantifier for r in qe.column_refs(side)
-                ):
-                    return (side, other)
-    return None
 
 
 def _self_recursive(box):

@@ -1,18 +1,36 @@
 """Physical-plan rendering: EXPLAIN output.
 
-Synthesises, per box, the operator pipeline the evaluator will run —
-which quantifier is scanned first, which are attached by hash join vs
-nested loop, where semi/anti joins and scalar bindings apply, where
-duplicates are eliminated — annotated with the estimator's row counts.
+Prints, per box, the operator pipeline the evaluator runs, annotated with
+the estimator's row counts. Select boxes are rendered from the same
+:class:`~repro.engine.pipeline.SelectPipeline` the tuple and batch
+engines execute, so scan order, predicate placement and each
+quantifier's access (hash probe, nested loop, per-binding
+re-evaluation) are those of the run, not a prediction of it.
 """
 
 from __future__ import annotations
 
+import functools
+
 from repro.qgm import expr as qe
-from repro.qgm.model import BoxKind, DistinctMode, QuantifierType
+from repro.qgm.model import (
+    BoxKind,
+    DistinctMode,
+    QuantifierType,
+    external_quantifiers,
+)
 from repro.qgm.stratum import reduced_dependency_graph
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.engine.evaluator import _hashable_equality
+from repro.engine.pipeline import HASH, NESTED, PER_BINDING, lower_select
+
+#: Operator label of a foreach quantifier's step, by access.
+_JOIN_LABELS = {HASH: "HASHJOIN", NESTED: "NLJOIN", PER_BINDING: "APPLY"}
+#: How a scalar or semi/anti join quantifier reaches its input, by access.
+_ACCESS_NOTES = {
+    HASH: "hash probe",
+    NESTED: "materialized",
+    PER_BINDING: "per-binding",
+}
 
 
 def _child_name(quantifier):
@@ -22,87 +40,56 @@ def _child_name(quantifier):
     return child.name
 
 
-def _select_pipeline(box, order_names, estimator):
-    """Describe the join pipeline of one select box."""
-    foreach = box.foreach_quantifiers()
-    by_name = {q.name: q for q in foreach}
-    ordered = [by_name[n] for n in (order_names or []) if n in by_name]
-    ordered += [q for q in foreach if q not in set(ordered)]
+def _on(predicates):
+    return " ON " + " AND ".join(str(p) for p in predicates) if predicates else ""
 
-    lines = []
-    local = set(box.quantifiers)
-    bound = set()
-    applied = set()
-    for index, quantifier in enumerate(ordered):
-        applicable = []
-        for predicate in box.predicates:
-            if id(predicate) in applied:
-                continue
-            needed = {
-                r.quantifier
-                for r in qe.column_refs(predicate)
-                if r.quantifier in local
-            }
-            if needed and needed <= (bound | {quantifier}) and all(
-                q.qtype == QuantifierType.FOREACH for q in needed
-            ):
-                applicable.append(predicate)
-        hash_keys = [
-            p
-            for p in applicable
-            if _hashable_equality(p, quantifier, local, bound) is not None
-        ]
-        rows = estimator.rows(quantifier.input_box)
-        label = "magic " if quantifier.is_magic else ""
-        if index == 0:
+
+def _select_lines(pipeline, estimator):
+    """Describe one lowered select box, in execution order."""
+    lines = ["FILTER %s" % p for p in pipeline.leading]
+    for index, step in enumerate(pipeline.steps):
+        quantifier = step.quantifier
+        op = _JOIN_LABELS[step.access]
+        if index == 0 and step.access == NESTED:
             op = "SCAN"
-        elif hash_keys:
-            op = "HASHJOIN"
-        else:
-            op = "NLJOIN"
-        detail = ""
-        if applicable:
-            detail = " ON " + " AND ".join(str(p) for p in applicable)
         lines.append(
             "%s %s%s (%s, ~%d rows)%s"
-            % (op, label, quantifier.name, _child_name(quantifier), rows, detail)
+            % (
+                op,
+                "magic " if quantifier.is_magic else "",
+                quantifier.name,
+                _child_name(quantifier),
+                estimator.rows(quantifier.input_box),
+                _on(step.predicates),
+            )
         )
-        for predicate in applicable:
-            applied.add(id(predicate))
-        bound.add(quantifier)
-
-    for quantifier in box.quantifiers:
+    for step in pipeline.scalars:
+        lines.append(
+            "SCALAR %s (%s, %s)%s"
+            % (
+                step.quantifier.name,
+                _child_name(step.quantifier),
+                _ACCESS_NOTES[step.access],
+                _on(step.predicates),
+            )
+        )
+    lines.extend("FILTER %s" % p for p in pipeline.deferred)
+    for step in pipeline.filters:
+        quantifier = step.quantifier
         if quantifier.qtype == QuantifierType.EXISTENTIAL:
-            lines.append(
-                "SEMIJOIN %s (%s)" % (quantifier.name, _child_name(quantifier))
-            )
-        elif quantifier.qtype == QuantifierType.ANTI:
-            kind = "null-aware " if quantifier.null_aware else ""
-            lines.append(
-                "%sANTIJOIN %s (%s)"
-                % (kind.upper(), quantifier.name, _child_name(quantifier))
-            )
-        elif quantifier.qtype == QuantifierType.SCALAR:
-            mode = "decorrelated probe" if quantifier.decorrelated else "single row"
-            lines.append(
-                "SCALAR %s (%s, %s)"
-                % (quantifier.name, _child_name(quantifier), mode)
-            )
-    residual = [p for p in box.predicates if id(p) not in applied]
-    filterable = [
-        p
-        for p in residual
-        if all(
-            q.qtype == QuantifierType.FOREACH
-            for q in (
-                r.quantifier for r in qe.column_refs(p) if r.quantifier in local
+            op = "SEMIJOIN"
+        else:
+            op = "NULL-AWARE ANTIJOIN" if quantifier.null_aware else "ANTIJOIN"
+        lines.append(
+            "%s %s (%s, %s)%s"
+            % (
+                op,
+                quantifier.name,
+                _child_name(quantifier),
+                _ACCESS_NOTES[step.access],
+                _on(step.predicates),
             )
         )
-    ]
-    for predicate in filterable:
-        lines.append("FILTER %s" % predicate)
-    if box.distinct == DistinctMode.ENFORCE:
-        lines.append("DISTINCT")
     return lines
 
 
@@ -115,6 +102,7 @@ def physical_plan(graph, plan=None, catalog=None):
     catalog = catalog or graph.catalog
     estimator = CardinalityEstimator(catalog)
     join_orders = plan.join_orders if plan is not None else {}
+    externals = functools.lru_cache(maxsize=None)(external_quantifiers)
 
     components, _ = reduced_dependency_graph(graph)
     lines = []
@@ -128,16 +116,21 @@ def physical_plan(graph, plan=None, catalog=None):
             header = "%s %s (~%d rows)" % (box.kind, box.name, estimator.rows(box))
             if box is graph.top_box:
                 header = "RETURN " + header
+            elif externals(box):
+                header = "PER-BINDING " + header
             elif recursive:
                 header = "FIXPOINT " + header
             else:
                 header = "MATERIALIZE " + header
             lines.append(header)
             if box.kind == BoxKind.SELECT:
-                for line in _select_pipeline(
-                    box, join_orders.get(box.box_id), estimator
-                ):
+                pipeline = lower_select(
+                    box, join_orders.get(box.box_id), externals
+                )
+                for line in _select_lines(pipeline, estimator):
                     lines.append("  " + line)
+                if box.distinct == DistinctMode.ENFORCE:
+                    lines.append("  DISTINCT")
             elif box.kind == BoxKind.GROUPBY:
                 keys = ", ".join(str(k) for k in box.group_keys) or "()"
                 aggs = ", ".join(

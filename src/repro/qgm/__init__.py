@@ -30,6 +30,7 @@ from repro.qgm.model import (
     Quantifier,
     QuantifierType,
     QueryGraph,
+    external_quantifiers,
 )
 from repro.qgm.builder import build_query_graph
 from repro.qgm.clone import clone_box, clone_graph, restore_graph
@@ -62,6 +63,7 @@ __all__ = [
     "Quantifier",
     "QuantifierType",
     "QueryGraph",
+    "external_quantifiers",
     "build_query_graph",
     "clone_box",
     "clone_graph",

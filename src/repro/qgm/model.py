@@ -237,6 +237,28 @@ class Box:
         return "<Box %d %s %s%s>" % (self.box_id, self.kind, self.name, adornment)
 
 
+def external_quantifiers(box):
+    """Quantifiers referenced inside ``box``'s subtree but owned by a box
+    outside it — the correlation edges crossing the subtree boundary, in
+    first-reference order. Empty exactly when ``box`` evaluates the same
+    under every outer binding."""
+    subtree: dict[int, Box] = {}
+    stack = [box]
+    while stack:
+        current = stack.pop()
+        if id(current) not in subtree:
+            subtree[id(current)] = current
+            stack.extend(q.input_box for q in current.quantifiers)
+    externals: dict[int, Quantifier] = {}
+    for member in subtree.values():
+        for expression in member.all_expressions():
+            for ref in qe.column_refs(expression):
+                owner = ref.quantifier.parent_box
+                if owner is not None and id(owner) not in subtree:
+                    externals.setdefault(id(ref.quantifier), ref.quantifier)
+    return list(externals.values())
+
+
 class QueryGraph:
     """A whole query: the top box plus shared bookkeeping.
 

@@ -34,8 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api import Connection, EXECUTORS, STRATEGIES
-from repro.engine import BatchEvaluator, CorrelatedEvaluator, Evaluator
+from repro.api import EXECUTORS, STRATEGIES, Connection, _build_evaluator
 from repro.errors import (
     ExecutionError,
     QueryCancelledError,
@@ -631,39 +630,27 @@ class QueryServer:
             graph = entry.graph
         join_orders = entry.plan.join_orders if entry.plan is not None else None
         executor = handle.executor
-        if strategy == "correlated":
-            evaluator = CorrelatedEvaluator(
-                graph, self.database, join_orders=join_orders,
-                governor=governor,
-            )
-            result = evaluator.run()
-        else:
-            evaluator_class = BatchEvaluator if executor == "batch" else Evaluator
-            evaluator = evaluator_class(
-                graph, self.database, join_orders=join_orders,
-                memoize_correlated=(strategy == "emst"),
-                governor=governor,
-            )
-            try:
-                result = evaluator.run()
-            except (ResourceExhaustedError, QueryCancelledError):
-                # Budget/cancel trips would recur on the (slower) tuple
-                # engine: propagate, don't retry.
+        try:
+            result = _build_evaluator(
+                graph, self.database, strategy, executor, join_orders,
+                governor, None,
+            ).run()
+        except (ResourceExhaustedError, QueryCancelledError):
+            # Budget/cancel trips would recur on the (slower) tuple
+            # engine: propagate, don't retry.
+            raise
+        except Exception:
+            if executor != "batch" or strategy == "correlated":
                 raise
-            except Exception:
-                if executor != "batch":
-                    raise
-                # Any batch-executor failure retries on the tuple oracle
-                # before the strategy-level breaker chain gets involved.
-                with self._stats_lock:
-                    self.executor_fallbacks += 1
-                executor = "tuple"
-                evaluator = Evaluator(
-                    graph, self.database, join_orders=join_orders,
-                    memoize_correlated=(strategy == "emst"),
-                    governor=governor,
-                )
-                result = evaluator.run()
+            # Any batch-executor failure retries on the tuple oracle
+            # before the strategy-level breaker chain gets involved.
+            with self._stats_lock:
+                self.executor_fallbacks += 1
+            executor = "tuple"
+            result = _build_evaluator(
+                graph, self.database, strategy, executor, join_orders,
+                governor, None,
+            ).run()
         return {
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],

@@ -1,10 +1,14 @@
 """Physical-plan (EXPLAIN) rendering."""
 
+import re
+
 from repro import Connection, Database
+from repro.engine import Evaluator
 from repro.sql import parse_statement
 from repro.qgm import build_query_graph
 from repro.optimizer import optimize_graph
 from repro.optimizer.explain import physical_plan
+from repro.workloads.empdept import build_empdept_database
 
 
 def plan_text(db, sql):
@@ -120,3 +124,116 @@ def test_magic_quantifier_labelled(empdept_conn):
 def test_row_estimates_present(empdept_db):
     text = plan_text(empdept_db, "SELECT empno FROM employee")
     assert "~7 rows" in text
+
+
+# -- EXPLAIN shows the access the engine takes ----------------------------------
+
+_HEADER = re.compile(r"^(\S+) [A-Z]+ (\S+) \(~")
+_JOIN = re.compile(r"^  (SCAN|NLJOIN|HASHJOIN|APPLY) (?:magic )?(\S+) \((\S+), ")
+_SUBQUERY = re.compile(
+    r"^  (?:SCALAR|SEMIJOIN|ANTIJOIN|NULL-AWARE ANTIJOIN) (\S+) \((\S+), ([^)]+)\)"
+)
+_JOIN_ACCESS = {
+    "SCAN": "nested",
+    "NLJOIN": "nested",
+    "HASHJOIN": "hash",
+    "APPLY": "per-binding",
+}
+_NOTE_ACCESS = {
+    "materialized": "nested",
+    "hash probe": "hash",
+    "per-binding": "per-binding",
+}
+
+
+def _engine_access(monkeypatch, prepared):
+    """Execute ``prepared`` on the tuple engine, recording the quantifiers
+    it hash-probed (as (box, quantifier) names) and the boxes it
+    evaluated once per outer binding."""
+    hashed, per_binding = set(), set()
+    hash_index = Evaluator._hash_index
+    rows_correlated = Evaluator._rows_correlated
+
+    def spy_hash_index(self, child, quantifier, key_exprs):
+        hashed.add((quantifier.parent_box.name, quantifier.name))
+        return hash_index(self, child, quantifier, key_exprs)
+
+    def spy_rows_correlated(self, box, env, externals):
+        per_binding.add(box.name)
+        return rows_correlated(self, box, env, externals)
+
+    monkeypatch.setattr(Evaluator, "_hash_index", spy_hash_index)
+    monkeypatch.setattr(Evaluator, "_rows_correlated", spy_rows_correlated)
+    prepared.execute()
+    return hashed, per_binding
+
+
+def _assert_explain_matches_engine(monkeypatch, conn, sql):
+    prepared = conn.prepare_statement(sql, strategy="original", executor="tuple")
+    text = physical_plan(prepared.graph, prepared.plan, conn.database.catalog)
+    hashed, per_binding = _engine_access(monkeypatch, prepared)
+    assert hashed and per_binding
+
+    labels = {}
+    checked = 0
+    box = None
+    for line in text.splitlines():
+        header = _HEADER.match(line)
+        if header:
+            labels[header.group(2)] = header.group(1)
+            box = header.group(2)
+            continue
+        join = _JOIN.match(line)
+        subquery = _SUBQUERY.match(line)
+        if join:
+            printed = _JOIN_ACCESS[join.group(1)]
+            quantifier, child = join.group(2), join.group(3)
+        elif subquery:
+            printed = _NOTE_ACCESS[subquery.group(3)]
+            quantifier, child = subquery.group(1), subquery.group(2)
+        else:
+            continue
+        if (box, quantifier) in hashed:
+            taken = "hash"
+        elif child in per_binding:
+            taken = "per-binding"
+        else:
+            taken = "nested"
+        assert printed == taken, "%s in box %s: EXPLAIN %r, engine %r\n%s" % (
+            quantifier, box, printed, taken, text,
+        )
+        checked += 1
+    assert checked >= 3
+    assert {b for b, _ in hashed} <= set(labels)
+    for name in per_binding:
+        assert labels[name] != "MATERIALIZE", text
+        assert labels[name] == "PER-BINDING", text
+
+
+def test_explain_matches_engine_on_correlated_scalar(monkeypatch):
+    conn = Connection(
+        build_empdept_database(n_departments=6, employees_per_department=4)
+    )
+    _assert_explain_matches_engine(
+        monkeypatch,
+        conn,
+        "SELECT e.empno FROM employee e WHERE e.salary > "
+        "(SELECT AVG(e2.salary) FROM employee e2 WHERE e2.workdept = e.workdept)",
+    )
+
+
+def test_explain_matches_engine_through_correlated_view_join(monkeypatch):
+    conn = Connection(
+        build_empdept_database(n_departments=6, employees_per_department=4)
+    )
+    conn.run_script(
+        "CREATE VIEW deptavg (workdept, avgsal) AS "
+        "SELECT workdept, AVG(salary) FROM employee GROUP BY workdept"
+    )
+    _assert_explain_matches_engine(
+        monkeypatch,
+        conn,
+        "SELECT d.deptname FROM department d WHERE d.budget > "
+        "(SELECT SUM(e.salary) FROM employee e, deptavg s "
+        "WHERE e.workdept = s.workdept AND s.workdept = d.deptno)",
+    )
