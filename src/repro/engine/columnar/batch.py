@@ -8,9 +8,10 @@ implementations:
 * predicates and projections run through the vectorized compiler
   (:func:`~repro.engine.columnar.vector.compile_vector`), one closure
   call per *column* instead of one per row;
-* foreach quantifiers are attached by batch hash-join build/probe (or a
-  batched cross product) instead of the per-environment ``_attach``
-  loop — no environment-dict copy per probe — following the same
+* foreach quantifiers are attached by batch hash-join build/probe, a
+  batch range probe of a sorted index, or a batched cross product,
+  instead of the per-environment ``_attach`` loop — no
+  environment-dict copy per probe — following the same
   lowered :class:`~repro.engine.pipeline.SelectPipeline` as the tuple
   engine;
 * group-by extracts key/argument columns once and feeds accumulator
@@ -35,7 +36,7 @@ from repro.qgm import expr as qe
 from repro.qgm.model import BoxKind
 from repro.engine.aggregates import accumulator_factory, make_accumulator
 from repro.engine.evaluator import CHECKPOINT_INTERVAL, Evaluator
-from repro.engine.pipeline import HASH, PER_BINDING
+from repro.engine.pipeline import HASH, PER_BINDING, RANGE
 from repro.engine.expressions import evaluate
 from repro.engine.columnar.columns import Batch
 from repro.engine.columnar.vector import compile_vector
@@ -135,14 +136,18 @@ class BatchEvaluator(Evaluator):
         return list(zip(*columns))
 
     def _attach_batch(self, box, step, batch):
-        """Join one foreach quantifier into the batch: hash probe, per-row
-        evaluation of a correlated child, or cross product."""
+        """Join one foreach quantifier into the batch: hash or range probe,
+        per-row evaluation of a correlated child, or cross product."""
         quantifier = step.quantifier
         child = quantifier.input_box
+        ranged = self._sorted_index(step) if step.access == RANGE else None
+        residual = step.residual
         if step.access == HASH:
             index = self._hash_index(child, quantifier, [k for k, _ in step.keys])
             probe_columns = [self._vfn(probe)(batch) for _, probe in step.keys]
             result = self._probe(box, batch, quantifier, index, probe_columns)
+        elif ranged is not None:
+            result = self._range_probe(box, batch, step, ranged)
         elif step.access == PER_BINDING:
             positions = []
             new_rows = []
@@ -156,6 +161,7 @@ class BatchEvaluator(Evaluator):
             self.stats.join_probes += len(new_rows)
             result = batch.expand(positions, quantifier, new_rows)
         else:
+            residual = step.predicates
             child_rows = self.rows_for(child, {})
             n = len(child_rows)
             self.stats.join_probes += batch.length * n
@@ -173,11 +179,31 @@ class BatchEvaluator(Evaluator):
                     i for i in range(batch.length) for _ in range(n)
                 ]
                 result = batch.expand(positions, quantifier, child_rows * batch.length)
-        for predicate in step.residual:
+        for predicate in residual:
             result = self._filter_batch(result, predicate)
         self.stats.batches += 1
         self.stats.batch_rows += result.length
         return result
+
+    def _range_probe(self, box, batch, step, index):
+        """Batch range probe: bisect the sorted index between every
+        position's bounds, emit one output position per match."""
+        ops = [op for op, _, _ in step.keys]
+        bound_columns = [self._vfn(probe)(batch) for _, _, probe in step.keys]
+        positions = []
+        new_rows = []
+        governed = self.governor is not None
+        for i, values in enumerate(zip(*bound_columns)):
+            rows = index.range(list(zip(ops, values)))
+            if governed:
+                self._bulk_checkpoint(box, 1 + len(rows))
+            if rows:
+                positions.extend([i] * len(rows))
+                new_rows.extend(rows)
+        self.stats.batch_probes += batch.length
+        self.stats.batch_probe_matches += len(new_rows)
+        self.stats.join_probes += len(new_rows)
+        return batch.expand(positions, step.quantifier, new_rows)
 
     def _probe(self, box, batch, quantifier, index, probe_columns):
         """Batch hash-join probe: look up every position's key, emit one

@@ -9,10 +9,11 @@ iteration (:mod:`repro.engine.recursion`).
 Each select box runs the pipeline :mod:`repro.engine.pipeline` lowers it
 to, in the supplied join order (the plan optimizer's choice): each
 quantifier is attached by hash join when an applicable equality predicate
-exists, by nested loop otherwise, or re-evaluated per binding when its
-input is correlated, and every predicate is applied at the earliest point
-where all of its inputs are bound — which is exactly why the join order
-matters to EMST.
+exists, by a range probe of a sorted index when a base table's column is
+compared with values already bound, by nested loop otherwise, or
+re-evaluated per binding when its input is correlated, and every
+predicate is applied at the earliest point where all of its inputs are
+bound — which is exactly why the join order matters to EMST.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.qgm.model import (
 )
 from repro.qgm.stratum import reduced_dependency_graph
 from repro.engine.aggregates import make_accumulator
-from repro.engine.pipeline import HASH, hash_keys, lower_select
+from repro.engine.pipeline import HASH, RANGE, hash_keys, lower_select
 from repro.engine.expressions import (
     compile_expr,
     compile_predicate,
@@ -82,7 +83,7 @@ class EvaluatorStats:
         self.batches = 0
         #: Total rows across those batches (mean batch width = ratio).
         self.batch_rows = 0
-        #: Hash-probe keys looked up in batch joins.
+        #: Hash-probe keys and range bounds looked up in batch joins.
         self.batch_probes = 0
         #: Rows returned by those probes (fan-out = matches / probes).
         self.batch_probe_matches = 0
@@ -311,6 +312,7 @@ class Evaluator:
         quantifier = step.quantifier
         child = quantifier.input_box
         new_envs = []
+        ranged = self._sorted_index(step) if step.access == RANGE else None
         if step.access == HASH:
             index = self._hash_index(child, quantifier, [k for k, _ in step.keys])
             probes = [self._fn(probe) for _, probe in step.keys]
@@ -320,6 +322,17 @@ class Evaluator:
                 if any(v is None for v in probe):
                     continue  # NULL never equals anything
                 for row in index.get(probe, ()):
+                    self.stats.join_probes += 1
+                    self._checkpoint(box)
+                    extended = dict(current)
+                    extended[quantifier] = row
+                    if all(fn(extended) for fn in residual_fns):
+                        new_envs.append(extended)
+        elif ranged is not None:
+            bounds = [(op, self._fn(probe)) for op, _, probe in step.keys]
+            residual_fns = [self._pred(p) for p in step.residual]
+            for current in envs:
+                for row in ranged.range([(op, fn(current)) for op, fn in bounds]):
                     self.stats.join_probes += 1
                     self._checkpoint(box)
                     extended = dict(current)
@@ -367,6 +380,13 @@ class Evaluator:
             index.setdefault(key, []).append(row)
         self._index_cache[cache_key] = index
         return index
+
+    def _sorted_index(self, step):
+        """The :class:`~repro.engine.storage.SortedIndex` range ``step``
+        bisects, or None when its column's values do not sort, in which
+        case the step runs as a nested loop."""
+        table = self.database.table(step.quantifier.input_box.table_name)
+        return table.sorted_index(step.keys[0][1].column)
 
     def _scalar_row(self, step, env):
         """The row scalar ``step`` binds under ``env`` (NULLs on no match)."""

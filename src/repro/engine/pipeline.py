@@ -10,9 +10,11 @@ per box per evaluator:
   subqueries after those are bound, and predicates over E/A
   quantifiers attached to their semi/anti join;
 * how each quantifier is reached — ``hash`` (probe an index on the
-  child with values already bound), ``nested`` (loop over the child's
-  materialised rows) or ``per-binding`` (re-evaluate a correlated child
-  under every current binding).
+  child with values already bound), ``range`` (bisect a base table's
+  sorted index on one column between bounds computed from values
+  already bound), ``nested`` (loop over the child's materialised rows)
+  or ``per-binding`` (re-evaluate a correlated child under every current
+  binding).
 
 The tuple and batch engines execute the resulting
 :class:`SelectPipeline`; the correlated engine lowers the box in its own
@@ -25,9 +27,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.qgm import expr as qe
-from repro.qgm.model import QuantifierType, external_quantifiers
+from repro.qgm.model import BoxKind, QuantifierType, external_quantifiers
 
 HASH = "hash"
+RANGE = "range"
 NESTED = "nested"
 PER_BINDING = "per-binding"
 
@@ -153,6 +156,13 @@ def _step(quantifier, predicates, local, bound, externals):
     keys, residual = hash_keys(predicates, quantifier, local, bound)
     if keys:
         return Step(quantifier, HASH, predicates, keys, residual)
+    if (
+        quantifier.qtype == QuantifierType.FOREACH
+        and quantifier.input_box.kind == BoxKind.BASE
+    ):
+        keys, residual = _range_bounds(predicates, quantifier, local, bound)
+        if keys:
+            return Step(quantifier, RANGE, predicates, keys, residual)
     return Step(quantifier, NESTED, predicates, (), predicates)
 
 
@@ -194,4 +204,54 @@ def _hashable_equality(predicate, quantifier, local, bound):
             and other_local <= bound
         ):
             return (side, other)
+    return None
+
+
+#: The comparison ``b op' a`` equivalent to ``a op b``.
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _range_bounds(predicates, quantifier, local, bound):
+    """Split ``predicates`` into ``(bounds, residual)``: the ``(op,
+    column, probe)`` range bounds on one bare column of ``quantifier``
+    (at most one lower and one upper, each probe over quantifiers bound
+    before it), and the rest. Constant bounds are left residual."""
+    column = None
+    bounds = {}  # "lower" | "upper" -> (op, column, probe)
+    residual = []
+    for predicate in predicates:
+        comparison = _range_comparison(predicate, quantifier, local, bound)
+        if comparison is not None:
+            op, key, _ = comparison
+            side = "lower" if op in (">", ">=") else "upper"
+            if column is None:
+                column = key.column
+            if key.column == column and side not in bounds:
+                bounds[side] = comparison
+                continue
+        residual.append(predicate)
+    keys = tuple(bounds[side] for side in ("lower", "upper") if side in bounds)
+    return keys, tuple(residual)
+
+
+def _range_comparison(predicate, quantifier, local, bound):
+    """If ``predicate`` compares a bare column of ``quantifier`` with an
+    expression over bound quantifiers, return it as ``(op, column,
+    probe)`` with the column on the left of ``op``; else None."""
+    if not (isinstance(predicate, qe.QBinary) and predicate.op in _FLIPPED):
+        return None
+    for key, probe, op in (
+        (predicate.left, predicate.right, predicate.op),
+        (predicate.right, predicate.left, _FLIPPED[predicate.op]),
+    ):
+        probe_local = {
+            r.quantifier for r in qe.column_refs(probe) if r.quantifier in local
+        }
+        if (
+            isinstance(key, qe.QColRef)
+            and key.quantifier is quantifier
+            and probe_local
+            and probe_local <= bound
+        ):
+            return (op, key, probe)
     return None

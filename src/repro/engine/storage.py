@@ -12,13 +12,64 @@ users hand to the session API.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from repro.catalog import Catalog, compute_statistics
 from repro.catalog.schema import ColumnDef, ForeignKey, TableSchema
 from repro.errors import CatalogError, ExecutionError
+from repro.engine.expressions import compare
+
+_NUMBER = (int, float)
+
+
+class SortedIndex:
+    """The non-NULL values of one column in ascending order (``keys``),
+    with their rows in parallel (``rows``). Every key is a number, or
+    every key is a string (``kind`` says which), and none is NaN, so the
+    order agrees with :func:`~repro.engine.expressions.compare`."""
+
+    __slots__ = ("keys", "rows", "kind")
+
+    def __init__(self, keys, rows, kind):
+        self.keys = keys
+        self.rows = rows
+        self.kind = kind
+
+    def range(self, bounds):
+        """The rows whose key satisfies ``key op value`` for every
+        ``(op, value)`` in ``bounds`` (at most one of ``>``/``>=`` and
+        one of ``<``/``<=``), in key order.
+
+        A NULL bound matches nothing, as a comparison with NULL is never
+        TRUE. A bound of another kind, or NaN, is checked key by key
+        with :func:`~repro.engine.expressions.compare`, so it matches or
+        raises exactly as a nested loop would.
+        """
+        keys = self.keys
+        start, stop = 0, len(keys)
+        for op, value in bounds:
+            if value is None:
+                return []
+            if not isinstance(value, self.kind) or value != value:
+                return [
+                    row
+                    for key, row in zip(keys, self.rows)
+                    if all(compare(o, key, v) for o, v in bounds)
+                ]
+            if op == ">":
+                start = bisect_right(keys, value)
+            elif op == ">=":
+                start = bisect_left(keys, value)
+            elif op == "<":
+                stop = bisect_left(keys, value)
+            else:
+                stop = bisect_right(keys, value)
+        return self.rows[start:stop]
 
 
 class Table:
-    """A stored base table: schema + columnar data + lazy hash indexes.
+    """A stored base table: schema + columnar data + lazy hash and sorted
+    indexes.
 
     Data lives in ``_columns`` (one list per schema column); ``rows`` is a
     cached row-tuple view rebuilt on demand after mutations. Because the
@@ -165,8 +216,9 @@ class Table:
         self.invalidate_indexes()
 
     def invalidate_indexes(self):
-        """Drop the lazily built hash indexes and bump the monotonic data
-        version; the next ``index_on`` call rebuilds them. Callers that
+        """Drop the lazily built hash and sorted indexes and bump the
+        monotonic data version; the next ``index_on`` or
+        ``sorted_index`` call rebuilds them. Callers that
         assign ``rows`` directly (DELETE and UPDATE do) must call this
         instead of touching ``_indexes``."""
         self.version += 1
@@ -196,8 +248,31 @@ class Table:
             self._indexes[ordinals] = index
         return index
 
+    def sorted_index(self, column):
+        """A :class:`SortedIndex` on ``column``, built lazily and kept
+        with the hash indexes until the next mutation; None when the
+        column's non-NULL values are not all numbers or all strings, or
+        include NaN (range access then falls back to a nested loop)."""
+        ordinal = self.schema.column_ordinal(column)
+        key = ("sorted", ordinal)
+        if key not in self._indexes:
+            self._indexes[key] = _build_sorted_index(
+                self._columns[ordinal], self.rows
+            )
+        return self._indexes[key]
+
     def __len__(self):
         return self._nrows
+
+
+def _build_sorted_index(values, rows):
+    pairs = [(value, row) for value, row in zip(values, rows) if value is not None]
+    kind = _NUMBER if pairs and isinstance(pairs[0][0], _NUMBER) else str
+    for value, _ in pairs:
+        if not isinstance(value, kind) or value != value:
+            return None
+    pairs.sort(key=lambda pair: pair[0])
+    return SortedIndex([v for v, _ in pairs], [r for _, r in pairs], kind)
 
 
 class Database:

@@ -4,7 +4,7 @@ Prints, per box, the operator pipeline the evaluator runs, annotated with
 the estimator's row counts. Select boxes are rendered from the same
 :class:`~repro.engine.pipeline.SelectPipeline` the tuple and batch
 engines execute, so scan order, predicate placement and each
-quantifier's access (hash probe, nested loop, per-binding
+quantifier's access (hash probe, range probe, nested loop, per-binding
 re-evaluation) are those of the run, not a prediction of it.
 """
 
@@ -21,10 +21,15 @@ from repro.qgm.model import (
 )
 from repro.qgm.stratum import reduced_dependency_graph
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.engine.pipeline import HASH, NESTED, PER_BINDING, lower_select
+from repro.engine.pipeline import HASH, NESTED, PER_BINDING, RANGE, lower_select
 
 #: Operator label of a foreach quantifier's step, by access.
-_JOIN_LABELS = {HASH: "HASHJOIN", NESTED: "NLJOIN", PER_BINDING: "APPLY"}
+_JOIN_LABELS = {
+    HASH: "HASHJOIN",
+    RANGE: "RANGEJOIN",
+    NESTED: "NLJOIN",
+    PER_BINDING: "APPLY",
+}
 #: How a scalar or semi/anti join quantifier reaches its input, by access.
 _ACCESS_NOTES = {
     HASH: "hash probe",

@@ -59,6 +59,8 @@ from repro.errors import (
 from repro.resilience.breaker import GuardedCircuitBreaker
 
 try:  # pragma: no cover - platform probe
+    import _posixshmem
+    import mmap
     import multiprocessing
     from multiprocessing import connection as mp_connection
     from multiprocessing import shared_memory
@@ -104,26 +106,23 @@ def _release_segment(segment):
 
 
 def _attach_payload(name, nbytes):
-    """Attach a segment by name, copy its pickled payload out, detach.
+    """Map a segment by name read-only, copy its pickled payload out, and
+    unmap it.
 
-    Attaching registers the segment with this process tree's resource
-    tracker (CPython registers on attach, not just create); unregister
-    immediately so a worker exit cannot unlink a segment the parent
-    still serves (bpo-39959).
+    ``SharedMemory(name=...)`` would register the segment with the
+    resource tracker on attach (before Python 3.13). A worker shares the
+    parent's tracker, and the tracker keeps one registration per name,
+    so a worker's attach-then-unregister would delete the parent's
+    registration and the parent's later unlink would make the tracker
+    print a ``KeyError``. Opening the segment directly registers nothing:
+    only the parent, which creates and unlinks every segment, is tracked.
     """
-    segment = shared_memory.SharedMemory(name=name)
+    fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
     try:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(
-                getattr(segment, "_name", name), "shared_memory"
-            )
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
-        return pickle.loads(bytes(segment.buf[:nbytes]))
+        with mmap.mmap(fd, nbytes, prot=mmap.PROT_READ) as buffer:
+            return pickle.loads(buffer[:nbytes])
     finally:
-        segment.close()
+        os.close(fd)
 
 
 class SharedTableStore:

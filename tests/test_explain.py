@@ -4,6 +4,7 @@ import re
 
 from repro import Connection, Database
 from repro.engine import Evaluator
+from repro.engine.storage import SortedIndex
 from repro.sql import parse_statement
 from repro.qgm import build_query_graph
 from repro.optimizer import optimize_graph
@@ -129,7 +130,9 @@ def test_row_estimates_present(empdept_db):
 # -- EXPLAIN shows the access the engine takes ----------------------------------
 
 _HEADER = re.compile(r"^(\S+) [A-Z]+ (\S+) \(~")
-_JOIN = re.compile(r"^  (SCAN|NLJOIN|HASHJOIN|APPLY) (?:magic )?(\S+) \((\S+), ")
+_JOIN = re.compile(
+    r"^  (SCAN|NLJOIN|HASHJOIN|RANGEJOIN|APPLY) (?:magic )?(\S+) \((\S+), "
+)
 _SUBQUERY = re.compile(
     r"^  (?:SCALAR|SEMIJOIN|ANTIJOIN|NULL-AWARE ANTIJOIN) (\S+) \((\S+), ([^)]+)\)"
 )
@@ -137,6 +140,7 @@ _JOIN_ACCESS = {
     "SCAN": "nested",
     "NLJOIN": "nested",
     "HASHJOIN": "hash",
+    "RANGEJOIN": "range",
     "APPLY": "per-binding",
 }
 _NOTE_ACCESS = {
@@ -148,30 +152,39 @@ _NOTE_ACCESS = {
 
 def _engine_access(monkeypatch, prepared):
     """Execute ``prepared`` on the tuple engine, recording the quantifiers
-    it hash-probed (as (box, quantifier) names) and the boxes it
-    evaluated once per outer binding."""
-    hashed, per_binding = set(), set()
+    it hash-probed and range-probed (as (box, quantifier) names) and the
+    boxes it evaluated once per outer binding."""
+    hashed, ranged, per_binding = set(), set(), set()
     hash_index = Evaluator._hash_index
+    sorted_index = Evaluator._sorted_index
     rows_correlated = Evaluator._rows_correlated
 
     def spy_hash_index(self, child, quantifier, key_exprs):
         hashed.add((quantifier.parent_box.name, quantifier.name))
         return hash_index(self, child, quantifier, key_exprs)
 
+    def spy_sorted_index(self, step):
+        index = sorted_index(self, step)
+        if index is not None:
+            quantifier = step.quantifier
+            ranged.add((quantifier.parent_box.name, quantifier.name))
+        return index
+
     def spy_rows_correlated(self, box, env, externals):
         per_binding.add(box.name)
         return rows_correlated(self, box, env, externals)
 
     monkeypatch.setattr(Evaluator, "_hash_index", spy_hash_index)
+    monkeypatch.setattr(Evaluator, "_sorted_index", spy_sorted_index)
     monkeypatch.setattr(Evaluator, "_rows_correlated", spy_rows_correlated)
     prepared.execute()
-    return hashed, per_binding
+    return hashed, ranged, per_binding
 
 
 def _assert_explain_matches_engine(monkeypatch, conn, sql):
     prepared = conn.prepare_statement(sql, strategy="original", executor="tuple")
     text = physical_plan(prepared.graph, prepared.plan, conn.database.catalog)
-    hashed, per_binding = _engine_access(monkeypatch, prepared)
+    hashed, ranged, per_binding = _engine_access(monkeypatch, prepared)
     assert hashed and per_binding
 
     labels = {}
@@ -195,6 +208,8 @@ def _assert_explain_matches_engine(monkeypatch, conn, sql):
             continue
         if (box, quantifier) in hashed:
             taken = "hash"
+        elif (box, quantifier) in ranged:
+            taken = "range"
         elif child in per_binding:
             taken = "per-binding"
         else:
@@ -237,3 +252,52 @@ def test_explain_matches_engine_through_correlated_view_join(monkeypatch):
         "(SELECT SUM(e.salary) FROM employee e, deptavg s "
         "WHERE e.workdept = s.workdept AND s.workdept = d.deptno)",
     )
+
+
+def test_explain_matches_engine_with_range_join(monkeypatch):
+    conn = Connection(
+        build_empdept_database(n_departments=6, employees_per_department=4)
+    )
+    _assert_explain_matches_engine(
+        monkeypatch,
+        conn,
+        "SELECT e.empno FROM employee e, employee m "
+        "WHERE e.salary < m.salary AND m.salary > "
+        "(SELECT AVG(e2.salary) FROM employee e2 WHERE e2.workdept = e.workdept)",
+    )
+
+
+def test_rank_query_explains_and_runs_a_range_join(monkeypatch):
+    conn = Connection(
+        build_empdept_database(n_departments=20, employees_per_department=8)
+    )
+    sql = (
+        "SELECT COUNT(*) FROM employee e1, employee e2 "
+        "WHERE e1.salary < e2.salary AND e1.workdept = 'D0003'"
+    )
+    calls = []
+    range_rows = SortedIndex.range
+
+    def spy_range(self, bounds):
+        calls.append(bounds)
+        return range_rows(self, bounds)
+
+    monkeypatch.setattr(SortedIndex, "range", spy_range)
+    for strategy in ("original", "emst"):
+        for executor in ("tuple", "batch"):
+            prepared = conn.prepare_statement(
+                sql, strategy=strategy, executor=executor
+            )
+            text = physical_plan(
+                prepared.graph, prepared.plan, conn.database.catalog
+            )
+            assert re.search(
+                r"^  RANGEJOIN e2 \(employee, .*\(e1\.salary < e2\.salary\)",
+                text,
+                re.MULTILINE,
+            ), text
+            calls.clear()
+            prepared.execute()
+            # One bisection per employee of the department.
+            assert len(calls) == 8
+            assert all(op == ">" for bounds in calls for op, _ in bounds)
