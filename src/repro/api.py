@@ -34,6 +34,7 @@ from repro.resilience.fallback import FallbackReport
 from repro.sql import parse_script
 from repro.sql.ast import CreateTable, CreateView, Delete, InsertValues, Query, Update
 from repro.qgm import build_query_graph, render_text, validate_graph
+from repro.qgm.model import BoxKind
 from repro.engine import CorrelatedEvaluator, Evaluator
 from repro.optimizer import optimize_graph
 from repro.optimizer.heuristic import optimize_with_heuristic
@@ -313,101 +314,61 @@ class Connection:
         self.database.insert(statement.table, rows)
         self.database.analyze(statement.table)
 
-    def _matching_row_mask(self, table_name, where):
-        """Evaluate a DELETE/UPDATE predicate over a base table; returns a
-        boolean per stored row (positionally). Reuses the query pipeline:
-        subqueries and correlation in the predicate work unchanged."""
+    def _match(self, statement, assignments=()):
+        """Match the rows a DELETE/UPDATE touches: ``SELECT <assignment
+        expressions> FROM t WHERE ...`` runs once through the batch
+        engine's lowered select pipeline (a key equality becomes a hash
+        probe of the table's index, subqueries the pipeline's scalar and
+        filter steps). Returns the matched rows' positions in ``t`` and,
+        per assignment, its values at those rows: evaluated only for the
+        matched bindings, from the old values."""
         from repro.sql import ast as sql_ast
-        from repro.qgm import build_query_graph
-        from repro.engine import Evaluator
+        from repro.engine.columnar import BatchEvaluator
 
-        if where is None:
-            return [True] * len(self.database.table(table_name).rows)
+        items = [
+            sql_ast.SelectItem(expr=value, alias="a%d" % index)
+            for index, (_, value) in enumerate(assignments)
+        ] or [sql_ast.SelectItem(expr=sql_ast.Star())]
         query = sql_ast.Query(
             body=sql_ast.SelectCore(
-                items=[sql_ast.SelectItem(expr=sql_ast.Star())],
-                from_tables=[sql_ast.TableRef(name=table_name)],
-                where=where,
+                items=items,
+                from_tables=[sql_ast.TableRef(name=statement.table)],
+                where=statement.where,
             )
         )
         graph = build_query_graph(query, self.database.catalog)
         box = graph.top_box
         quantifier = box.foreach_quantifiers()[0]
-        evaluator = Evaluator(graph, self.database)
-        pipeline = evaluator.pipeline(box)
-        return [
-            self._row_matches(evaluator, pipeline, {quantifier: row})
-            for row in self.database.table(table_name).rows
-        ]
-
-    @staticmethod
-    def _row_matches(evaluator, pipeline, env):
-        """One select-box pipeline run for a single candidate row."""
-        from repro.engine.expressions import predicate_holds
-
-        predicates = list(pipeline.leading)
-        for step in pipeline.steps:
-            predicates.extend(step.predicates)
-        if not all(predicate_holds(p, env) for p in predicates):
-            return False
-        for step in pipeline.scalars:
-            env = dict(env)
-            env[step.quantifier] = evaluator._scalar_row(step, env)
-        if not all(predicate_holds(p, env) for p in pipeline.deferred):
-            return False
-        return all(
-            evaluator._passes_filter_quantifier(
-                step.quantifier, step.predicates, env
-            )
-            for step in pipeline.filters
-        )
+        if quantifier.input_box.kind != BoxKind.BASE:
+            # The binder rejects aggregates in WHERE; in SET they put a
+            # GROUPBY box between the statement and its table.
+            raise NotSupportedError("aggregates are not allowed in UPDATE ... SET")
+        evaluator = BatchEvaluator(graph, self.database)
+        batch = evaluator.filtered_batch(box, {})
+        if not batch.length:
+            return [], [[] for _ in assignments]
+        table = self.database.table(statement.table)
+        positions = table.row_positions(batch.slots[quantifier])
+        return positions, evaluator.project(box, batch) if assignments else []
 
     def _delete(self, statement):
-        table = self.database.table(statement.table)
-        mask = self._matching_row_mask(statement.table, statement.where)
-        table.rows = [row for row, hit in zip(table.rows, mask) if not hit]
-        table.invalidate_indexes()
+        positions, _ = self._match(statement)
+        self.database.table(statement.table).delete_rows(positions)
         self.database.analyze(statement.table)
 
     def _update(self, statement):
-        from repro.sql import ast as sql_ast
-        from repro.qgm import build_query_graph
-        from repro.engine.expressions import evaluate
-
+        """Only the assigned columns are rewritten and re-analyzed."""
         table = self.database.table(statement.table)
-        mask = self._matching_row_mask(statement.table, statement.where)
-
-        # Build the assignment expressions against the table's scope.
-        query = sql_ast.Query(
-            body=sql_ast.SelectCore(
-                items=[
-                    sql_ast.SelectItem(expr=value, alias="a%d" % index)
-                    for index, (_, value) in enumerate(statement.assignments)
-                ],
-                from_tables=[sql_ast.TableRef(name=statement.table)],
-            )
-        )
-        graph = build_query_graph(query, self.database.catalog)
-        box = graph.top_box
-        quantifier = box.foreach_quantifiers()[0]
         targets = [
             table.schema.column_ordinal(column)
             for column, _ in statement.assignments
         ]
-        new_rows = []
-        for row, hit in zip(table.rows, mask):
-            if not hit:
-                new_rows.append(row)
-                continue
-            env = {quantifier: row}
-            values = [evaluate(column.expr, env) for column in box.columns]
-            updated = list(row)
-            for ordinal, value in zip(targets, values):
-                updated[ordinal] = value
-            new_rows.append(tuple(updated))
-        table.rows = new_rows
-        table.invalidate_indexes()
-        self.database.analyze(statement.table)
+        positions, values = self._match(statement, statement.assignments)
+        table.update_rows(positions, dict(zip(targets, values)))
+        self.database.analyze(
+            statement.table,
+            columns=[column for column, _ in statement.assignments],
+        )
 
     def execute(self, sql_text, strategy="emst", executor=None):
         """Parse and execute a single query; returns the Result."""

@@ -94,6 +94,17 @@ class BatchEvaluator(Evaluator):
     # -- select boxes ------------------------------------------------------------
 
     def _evaluate_select(self, box, env):
+        batch = self.filtered_batch(box, env)
+        if batch.length == 0:
+            return []
+        columns = self.project(box, batch)
+        if not columns:
+            return [()] * batch.length
+        return list(zip(*columns))
+
+    def filtered_batch(self, box, env):
+        """Run select ``box``'s pipeline under ``env`` up to projection:
+        the batch of bindings that satisfy every predicate."""
         pipeline = self.pipeline(box)
         # One position, no slots: the batch analogue of ``[dict(env)]``.
         batch = Batch(1, constants=dict(env))
@@ -128,12 +139,12 @@ class BatchEvaluator(Evaluator):
 
         self.stats.batches += 1
         self.stats.batch_rows += batch.length
-        if batch.length == 0:
-            return []
-        columns = [self._vfn(column.expr)(batch) for column in box.columns]
-        if not columns:
-            return [()] * batch.length
-        return list(zip(*columns))
+        return batch
+
+    def project(self, box, batch):
+        """``box``'s output columns over a non-empty ``batch``, one value
+        list per column."""
+        return [self._vfn(column.expr)(batch) for column in box.columns]
 
     def _attach_batch(self, box, step, batch):
         """Join one foreach quantifier into the batch: hash or range probe,

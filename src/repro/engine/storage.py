@@ -13,8 +13,9 @@ users hand to the session API.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress
 
-from repro.catalog import Catalog, compute_statistics
+from repro.catalog import Catalog, column_major_statistics
 from repro.catalog.schema import ColumnDef, ForeignKey, TableSchema
 from repro.errors import CatalogError, ExecutionError
 from repro.engine.expressions import compare
@@ -72,10 +73,13 @@ class Table:
     indexes.
 
     Data lives in ``_columns`` (one list per schema column); ``rows`` is a
-    cached row-tuple view rebuilt on demand after mutations. Because the
-    view is replaced (never mutated in place), an evaluator holding the
-    ``rows`` list of a table sees a stable snapshot even if a mutation
-    lands mid-query.
+    cached row-tuple view rebuilt on demand after mutations. Writes are
+    copy-on-write: they install new column lists and a new view and never
+    mutate the old ones in place, so an evaluator (or the worker-pool
+    publisher) holding a table's ``rows`` or ``column_data`` lists sees a
+    stable snapshot even if a mutation lands mid-query. Every tuple in
+    the view is a distinct object, so :meth:`row_positions` can map rows
+    back to positions by identity.
 
     ``version`` is a monotonic data-version counter, bumped by every
     mutation through :meth:`invalidate_indexes`. Plan artifacts computed
@@ -117,11 +121,13 @@ class Table:
         return converted
 
     def _append_rows(self, converted):
-        """Append pre-validated row tuples to the column arrays."""
+        """Append pre-validated row tuples as new column arrays."""
         if not converted:
             return
-        for ordinal, column in enumerate(self._columns):
-            column.extend(row[ordinal] for row in converted)
+        self._columns = [
+            column + [row[ordinal] for row in converted]
+            for ordinal, column in enumerate(self._columns)
+        ]
         self._nrows += len(converted)
         self._rows = None  # row view rebuilt on next access
 
@@ -136,7 +142,7 @@ class Table:
 
     @rows.setter
     def rows(self, new_rows):
-        """Replace the table's contents (DELETE/UPDATE rebuild via this).
+        """Replace the table's contents wholesale.
 
         Callers still must bump the version through
         :meth:`invalidate_indexes`, exactly as with the old list storage.
@@ -147,7 +153,7 @@ class Table:
         else:
             self._columns = [[] for _ in range(self._ncols)]
         self._nrows = len(converted)
-        self._rows = converted
+        self._rows = None  # rebuilt from the columns: distinct tuples
 
     def column_data(self, column):
         """The stored value list of one column (by name or ordinal).
@@ -191,20 +197,18 @@ class Table:
         self._indexes.clear()
         self.version = version
 
+    def row_positions(self, rows):
+        """The positions in :attr:`rows` of ``rows``, tuples taken from
+        the current row view (matched by identity, so equal rows at
+        different positions stay apart)."""
+        view = self.rows
+        where = dict(zip(map(id, view), range(len(view))))
+        return [where[id(row)] for row in rows]
+
     # -- mutation ---------------------------------------------------------------
 
     def insert(self, row):
-        row = tuple(row)
-        if len(row) != self._ncols:
-            raise ExecutionError(
-                "row arity %d does not match table %r (%d columns)"
-                % (len(row), self.schema.name, self._ncols)
-            )
-        for ordinal, column in enumerate(self._columns):
-            column.append(row[ordinal])
-        self._nrows += 1
-        self._rows = None
-        self.invalidate_indexes()
+        self.insert_many([row])
 
     def insert_many(self, rows):
         converted = self._converted_rows(rows)
@@ -215,12 +219,40 @@ class Table:
         # version useless as a "how much changed" signal.
         self.invalidate_indexes()
 
+    def update_rows(self, positions, assignments):
+        """UPDATE: ``assignments`` maps a column ordinal to its new values,
+        one per entry of ``positions``. Copies only the assigned column
+        arrays and the row view, then bumps the version once."""
+        columns = list(self._columns)
+        for ordinal, values in assignments.items():
+            column = list(columns[ordinal])
+            for position, value in zip(positions, values):
+                column[position] = value
+            columns[ordinal] = column
+        rows = list(self.rows)
+        for position in positions:
+            rows[position] = tuple([column[position] for column in columns])
+        self._columns = columns
+        self._rows = rows
+        self.invalidate_indexes()
+
+    def delete_rows(self, positions):
+        """DELETE the rows at ``positions``: new column arrays and row
+        view without them, then one version bump."""
+        keep = [True] * self._nrows
+        for position in positions:
+            keep[position] = False
+        self._columns = [list(compress(column, keep)) for column in self._columns]
+        self._rows = list(compress(self.rows, keep))
+        self._nrows = len(self._rows)
+        self.invalidate_indexes()
+
     def invalidate_indexes(self):
         """Drop the lazily built hash and sorted indexes and bump the
         monotonic data version; the next ``index_on`` or
         ``sorted_index`` call rebuilds them. Callers that
-        assign ``rows`` directly (DELETE and UPDATE do) must call this
-        instead of touching ``_indexes``."""
+        assign ``rows`` directly must call this instead of touching
+        ``_indexes``."""
         self.version += 1
         self._indexes.clear()
 
@@ -243,8 +275,13 @@ class Table:
         index = self._indexes.get(ordinals)
         if index is None:
             index = {}
-            for row in self.rows:
-                index.setdefault(tuple(row[o] for o in ordinals), []).append(row)
+            keys = zip(*[self._columns[o] for o in ordinals])
+            for key, row in zip(keys, self.rows):
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
             self._indexes[ordinals] = index
         return index
 
@@ -281,6 +318,10 @@ class Database:
     def __init__(self, catalog=None):
         self.catalog = catalog or Catalog()
         self._tables = {}
+        #: ``{table name (lower) -> (statistics, table version)}`` that
+        #: :meth:`analyze` last installed, so a later one-column ANALYZE
+        #: can tell whether the other columns' statistics still hold.
+        self._analyzed = {}
 
     def schema_version(self):
         """The catalog's monotonic DDL version (see
@@ -381,14 +422,33 @@ class Database:
     def insert(self, name, rows):
         self.table(name).insert_many(rows)
 
-    def analyze(self, name=None):
-        """Recompute optimizer statistics (ANALYZE). All tables if no name."""
+    def analyze(self, name=None, columns=None):
+        """Recompute optimizer statistics (ANALYZE). All tables if no name.
+
+        ``columns`` (names of ``name``'s columns) recomputes only those,
+        for a statement that changed nothing else since the previous
+        ANALYZE of the table; the other columns' statistics carry over.
+        When the table's statistics are not the ones that ANALYZE left
+        one write ago (set by other code, or more writes since), every
+        column is recomputed. Either way the catalog gets a new
+        :class:`~repro.catalog.TableStatistics` equal to a full ANALYZE.
+        """
         names = [name] if name else [schema.name for schema in self.catalog.tables()]
         for table_name in names:
             table = self.table(table_name)
-            self.catalog.set_statistics(
-                table_name, compute_statistics(table.schema, table.rows)
+            key = table_name.lower()
+            previous = changed = None
+            if columns is not None:
+                analyzed, version = self._analyzed.get(key, (None, None))
+                current = self.catalog.statistics(table_name)
+                if current is analyzed and version == table.version - 1:
+                    previous = current
+                    changed = {table.schema.column_ordinal(c) for c in columns}
+            statistics = column_major_statistics(
+                table.schema, table.column_blocks(), previous, changed
             )
+            self.catalog.set_statistics(table_name, statistics)
+            self._analyzed[key] = (statistics, table.version)
 
     def create_view(self, sql_text):
         """Parse and register a ``CREATE VIEW`` statement."""

@@ -11,8 +11,9 @@ faults *inside* the rewrite/execute pipeline; this one attacks the
   pool slot, and the database must be unaffected,
 * **cache poisoning attempt** — concurrent DDL/DML racing parameterized
   queries: every answer must match a fresh ``original``-strategy oracle
-  *when no mutation interleaved the pair* (version counters decide), and
-  otherwise be a clean structured error — never wrong rows,
+  *when no mutation interleaved the pair* (the snapshot stamped on each
+  response decides), and otherwise be a clean structured error — never
+  wrong rows,
 * **deadline storm + overload** — a thundering herd with tiny deadlines
   against a tiny pool: every outcome must classify as success, deadline
   trip, cancellation, or shed-with-``retry_after``; retried requests must
@@ -209,53 +210,74 @@ def check_garbage_frame(harness, report):
         sock.close()
 
 
+#: Every this many poisoning rounds, the reading client asks the
+#: mutator to pause and waits until it is idle, so the pair runs quiesced.
+QUIESCE_EVERY = 4
+
+
 def check_cache_poisoning(harness, rng, rounds, report):
     """DDL/DML racing cached parameterized queries: answers must match a
-    fresh original-strategy oracle whenever the version counters prove no
-    mutation interleaved the pair."""
+    fresh original-strategy oracle whenever both responses carry the same
+    snapshot (catalog and table versions read under the server's read
+    lock), i.e. no mutation landed between them. Every
+    :data:`QUIESCE_EVERY`-th pair runs with the mutator paused, so some
+    pairs are always compared."""
     deptnames = ["Planning"] + [
         "Dept%04d" % i
         for i in range(1, len(harness.database.table("department").rows))
     ]
     stop = threading.Event()
+    # Handshake: the reader sets ``pause``; the mutator finishes its
+    # current statement, sets ``idle`` and writes nothing until ``pause``
+    # is cleared.
+    pause = threading.Event()
+    idle = threading.Event()
     mutator_errors = []
 
     def mutator():
-        with harness.client() as client:
-            count = 0
-            while not stop.is_set():
-                count += 1
-                try:
-                    if count % 5 == 0:
-                        # Real DDL: bumps the catalog version, must purge
-                        # every cached plan.
-                        client.script(
-                            "CREATE VIEW poison%d (n) AS "
-                            "SELECT empname FROM employee" % count
-                        )
-                    else:
-                        # DML: bumps table versions (stale-plan signal).
-                        client.script(
-                            "INSERT INTO employee VALUES "
-                            "(%d, 'Chaos%d', 'D0001', %d, 'CLERK')"
-                            % (900000 + count, count, 50000 + count)
-                        )
-                except (ServerError, ConnectionError) as exc:
-                    mutator_errors.append(str(exc))
-                time.sleep(0.01)
+        try:
+            with harness.client() as client:
+                count = 0
+                while not stop.is_set():
+                    if pause.is_set():
+                        idle.set()
+                        while pause.is_set() and not stop.is_set():
+                            time.sleep(0.002)
+                        idle.clear()
+                        continue
+                    count += 1
+                    try:
+                        if count % 5 == 0:
+                            # Real DDL: bumps the catalog version, must
+                            # purge every cached plan.
+                            client.script(
+                                "CREATE VIEW poison%d (n) AS "
+                                "SELECT empname FROM employee" % count
+                            )
+                        else:
+                            # DML: bumps table versions (stale-plan signal).
+                            client.script(
+                                "INSERT INTO employee VALUES "
+                                "(%d, 'Chaos%d', 'D0001', %d, 'CLERK')"
+                                % (900000 + count, count, 50000 + count)
+                            )
+                    except (ServerError, ConnectionError) as exc:
+                        mutator_errors.append(str(exc))
+                    time.sleep(0.01)
+        finally:
+            idle.set()  # a dead mutator writes nothing either
 
     thread = threading.Thread(target=mutator, daemon=True)
     thread.start()
     checked = skipped = errors = 0
     try:
         with harness.client() as client:
-            for _ in range(rounds):
+            for round_number in range(rounds):
                 name = rng.choice(deptnames)
-                stats_before = client.stats()
-                versions_before = (
-                    stats_before["catalog_version"],
-                    stats_before["table_versions"].get("employee"),
-                )
+                quiesced = round_number % QUIESCE_EVERY == QUIESCE_EVERY - 1
+                if quiesced:
+                    pause.set()
+                    idle.wait(30)
                 try:
                     answer = client.query(
                         PARAM_QUERY, params=[name], strategy="emst"
@@ -269,13 +291,10 @@ def check_cache_poisoning(harness, rng, rounds, report):
                     )
                     errors += 1
                     continue
-                stats_after = client.stats()
-                versions_after = (
-                    stats_after["catalog_version"],
-                    stats_after["table_versions"].get("employee"),
-                )
-                if versions_before != versions_after:
-                    # A mutation interleaved the pair: the two reads saw
+                finally:
+                    pause.clear()
+                if answer["snapshot"] != oracle["snapshot"]:
+                    # A mutation landed between the pair: the two reads saw
                     # different database states, so equality is not owed.
                     skipped += 1
                     continue

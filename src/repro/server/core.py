@@ -286,23 +286,32 @@ class QueryServer:
         move between lookup and serve: DML takes the write lock.
         ``fresh=True`` bypasses the result cache entirely (no lookup, no
         store) — the chaos oracle uses it to force real re-execution.
+
+        Every response carries the ``snapshot`` it answers from: the
+        catalog version and table versions read under that read lock.
+        Two responses with equal snapshots saw the same database state.
         """
         values = list(params or []) + list(handle.extracted_values)
         started = time.perf_counter()
         with self.lock.read():
+            snapshot = {
+                "catalog_version": self.database.schema_version(),
+                "table_versions": self.database.table_versions(),
+            }
             key = None
             if not fresh and self.result_cache.capacity:
                 key = ResultCache.make_key(
                     handle.fingerprint,
                     handle.strategy,
                     handle.executor,
-                    self.database.schema_version(),
+                    snapshot["catalog_version"],
                     values,
-                    self.database.table_versions(),
+                    snapshot["table_versions"],
                 )
                 cached = self.result_cache.lookup(key)
                 if cached is not None:
                     cached["cache"] = "result"
+                    cached["snapshot"] = snapshot
                     cached["elapsed_seconds"] = round(
                         time.perf_counter() - started, 6
                     )
@@ -322,6 +331,7 @@ class QueryServer:
                 # path above raised past this line, so a crashed or
                 # half-failed execution cannot leave a cache entry.
                 self.result_cache.store(key, response)
+            response["snapshot"] = snapshot
             return response
 
     def _execute_on_pool(self, handle, params, deadline, cancel_event,

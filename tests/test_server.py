@@ -327,6 +327,31 @@ def test_ddl_and_dml_bump_versions_consistently():
     assert db.table_versions(["t"]) == {"t": data0 + 3}
 
 
+def test_execute_responses_carry_their_snapshot():
+    database = build_empdept_database(n_departments=10, employees_per_department=5)
+    Connection(database).run_script(PAPER_VIEWS_SQL)
+    server = QueryServer(database, ServerConfig(result_cache_capacity=8))
+    try:
+        expected = {
+            "catalog_version": database.schema_version(),
+            "table_versions": database.table_versions(),
+        }
+        executed = server.handle_query(PARAM_QUERY, params=["Planning"])
+        cached = server.handle_query(PARAM_QUERY, params=["Planning"])
+        assert cached["cache"] == "result"
+        assert executed["snapshot"] == cached["snapshot"] == expected
+        server.handle_script(
+            "UPDATE department SET budget = budget + 1 WHERE deptno = 'D0001'"
+        )
+        after = server.handle_query(PARAM_QUERY, params=["Planning"])
+        assert after["cache"] != "result"
+        moved = after["snapshot"]["table_versions"]
+        assert moved["department"] == expected["table_versions"]["department"] + 1
+        assert moved["employee"] == expected["table_versions"]["employee"]
+    finally:
+        server.shutdown()
+
+
 def test_scoped_views_do_not_bump_catalog_version():
     db = Database()
     db.create_table("t", ["a"], rows=[(1,)])
